@@ -4,7 +4,7 @@
 
 use crate::banknode::BankNode;
 use crate::config::MachineConfig;
-use crate::parallel::{PhaseTimes, TilePool};
+use crate::parallel::{NoClock, PhaseClock, TilePool};
 use crate::payload::{Request, Response};
 use crate::pgas::PgasMap;
 use crate::sched::TileSched;
@@ -98,9 +98,10 @@ pub struct Cell {
     next_mem_id: u64,
     barriers: Vec<BarrierNetwork>,
     active: Vec<bool>,
-    /// Wake-list scheduler for the event-driven tile phase (see
-    /// [`crate::sched`]); dormant when [`MachineConfig::event_core`] is
-    /// off or tracing forces the dense schedule.
+    /// Wake-list scheduler that runs every tile phase (see
+    /// [`crate::sched`]); parking is disabled when
+    /// [`MachineConfig::event_core`] is off or tracing forces the dense
+    /// schedule.
     sched: TileSched,
     alloc_ptr: u32,
     cycle: u64,
@@ -418,9 +419,10 @@ impl Cell {
         }
     }
 
-    /// `(stepped, skipped)` tile-tick counters from the event scheduler:
-    /// how many per-tile steps actually ran versus how many the wake list
-    /// elided. Both zero under the dense schedule.
+    /// `(stepped, skipped)` tile-tick counters from the wake-list
+    /// scheduler: how many per-tile steps actually ran versus how many the
+    /// wake list elided. Under the dense schedule `skipped` stays zero and
+    /// `stepped` counts every active tile-cycle.
     pub fn tile_ticks(&self) -> (u64, u64) {
         self.sched.tick_counts()
     }
@@ -465,8 +467,8 @@ impl Cell {
     /// one is bit-identical to anyway).
     pub fn set_trace(&mut self, trace: crate::trace::TraceHandle) {
         self.traced = true;
-        // Tracing switches to the dense schedule, which never settles the
-        // wake list: materialize any owed stalls first.
+        // Tracing switches to the dense schedule, which never parks:
+        // materialize any owed stalls first.
         self.sched.settle(&mut self.tiles, self.cycle);
         for t in &mut self.tiles {
             t.set_trace(trace.clone());
@@ -673,52 +675,30 @@ impl Cell {
     /// so they act as the double buffers between tile compute and the
     /// sequential Cell plumbing.
     pub fn tick(&mut self) {
+        self.tick_with(&mut NoClock);
+    }
+
+    /// The one cycle body behind [`tick`](Self::tick) and
+    /// [`Machine::tick_profiled`](crate::Machine::tick_profiled): `clock`
+    /// bills each phase's host time.
+    pub(crate) fn tick_with<C: PhaseClock>(&mut self, clock: &mut C) {
         self.cycle += 1;
         let now = self.cycle;
         self.phase_network();
+        clock.lap(|t| &mut t.network);
         self.phase_memory();
-        self.phase_tiles(now);
+        clock.lap(|t| &mut t.memory);
+        self.phase_tiles(now, clock);
         self.phase_sync();
+        clock.lap(|t| &mut t.sync);
         self.phase_inject();
+        clock.lap(|t| &mut t.inject);
     }
 
-    /// Like [`tick`](Self::tick), accumulating per-phase wall-clock time.
-    pub fn tick_profiled(&mut self, acc: &mut PhaseTimes) {
-        self.cycle += 1;
-        let now = self.cycle;
-        let t0 = std::time::Instant::now();
-        self.phase_network();
-        let t1 = std::time::Instant::now();
-        self.phase_memory();
-        let t2 = std::time::Instant::now();
-        // The event path splits its own time between `tiles` (stepping)
-        // and `sched` (wake-list bookkeeping), so the Amdahl tile-share
-        // report never counts scheduler overhead as parallelizable work.
-        if self.event_schedule() {
-            let pool = self.pool.as_deref();
-            self.sched
-                .run_cycle(&mut self.tiles, &self.active, now, pool, Some(acc));
-        } else {
-            self.phase_tiles(now);
-        }
-        let t3 = std::time::Instant::now();
-        self.phase_sync();
-        let t4 = std::time::Instant::now();
-        self.phase_inject();
-        let t5 = std::time::Instant::now();
-        acc.network += t1 - t0;
-        acc.memory += t2 - t1;
-        if !self.event_schedule() {
-            acc.tiles += t3 - t2;
-        }
-        acc.sync += t4 - t3;
-        acc.inject += t5 - t4;
-    }
-
-    /// Whether this Cell runs the event-driven tile phase (tracing forces
-    /// the dense schedule: the shared ring must observe events every
-    /// cycle, in tile order).
-    fn event_schedule(&self) -> bool {
+    /// Whether the wake list may park tiles (the event-driven schedule).
+    /// Tracing forces the dense schedule: the shared ring must observe
+    /// events every cycle, in tile order.
+    fn may_park(&self) -> bool {
         self.cfg.event_core && !self.traced
     }
 
@@ -731,51 +711,34 @@ impl Cell {
     fn phase_network(&mut self) {
         self.req_net.tick();
         self.resp_net.tick();
-        for b in 0..self.banks.len() {
-            let coord = self.banks[b].coord;
-            while self.banks[b].can_take() {
-                match self.req_net.eject(coord) {
-                    Some(pkt) => self.banks[b].inbox.push_back(pkt),
-                    None => break,
-                }
+        for b in &mut self.banks {
+            while b.can_take() {
+                let Some(pkt) = self.req_net.eject(b.coord) else {
+                    break;
+                };
+                b.inbox.push_back(pkt);
             }
         }
-        for i in 0..self.tiles.len() {
-            let (x, y) = self.tiles[i].xy;
-            let coord = self.pgas.tile_coord(x, y);
-            let mut delivered = false;
-            while self.tiles[i].req_inbox.len() < EJECT_PER_CYCLE {
-                match self.req_net.eject(coord) {
-                    Some(pkt) => {
-                        self.tiles[i].req_inbox.push_back(pkt);
-                        delivered = true;
-                    }
-                    None => break,
-                }
+        for (i, t) in self.tiles.iter_mut().enumerate() {
+            let coord = self.pgas.tile_coord(t.xy.0, t.xy.1);
+            let before = (t.req_inbox.len(), t.resp_inbox.len());
+            while t.req_inbox.len() < EJECT_PER_CYCLE {
+                let Some(pkt) = self.req_net.eject(coord) else {
+                    break;
+                };
+                t.req_inbox.push_back(pkt);
             }
-            let mut ejected = 0;
-            while ejected < EJECT_PER_CYCLE {
-                match self.resp_net.eject(coord) {
-                    Some(pkt) => {
-                        self.tiles[i].resp_inbox.push_back(pkt);
-                        ejected += 1;
-                    }
-                    None => break,
-                }
-            }
-            // Fabric-staged responses share the same delivery budget.
-            while ejected < EJECT_PER_CYCLE {
-                match self.tiles[i].resp_stage.pop_front() {
-                    Some(pkt) => {
-                        self.tiles[i].resp_inbox.push_back(pkt);
-                        ejected += 1;
-                    }
-                    None => break,
-                }
-            }
+            // Fabric-staged responses share the response delivery budget.
+            let resp_net = &mut self.resp_net;
+            let stage = &mut t.resp_stage;
+            t.resp_inbox.extend(
+                std::iter::from_fn(|| resp_net.eject(coord))
+                    .chain(std::iter::from_fn(|| stage.pop_front()))
+                    .take(EJECT_PER_CYCLE),
+            );
             // A delivery un-quiesces the tile: it must drain its inboxes on
             // this very cycle, exactly when the dense schedule would.
-            if delivered || ejected > 0 {
+            if (t.req_inbox.len(), t.resp_inbox.len()) != before {
                 self.sched.wake(i);
             }
         }
@@ -883,28 +846,17 @@ impl Cell {
         }
     }
 
-    /// BSP phase 3 — every active tile executes one pipeline cycle. This is
+    /// BSP phase 3 — every active tile on the wake list executes one
+    /// pipeline cycle (every active tile under the dense schedule). This is
     /// the only phase the worker pool shards: tiles touch nothing but their
     /// own state here, so any execution order is bit-identical to the
-    /// in-order loop. Tracing forces the sequential schedule so ring-buffer
-    /// event order stays deterministic.
-    fn phase_tiles(&mut self, now: u64) {
-        if self.event_schedule() {
-            let pool = self.pool.as_deref();
-            self.sched
-                .run_cycle(&mut self.tiles, &self.active, now, pool, None);
-            return;
-        }
-        match &self.pool {
-            Some(pool) if !self.traced => pool.step_tiles(&mut self.tiles, &self.active, now),
-            _ => {
-                for (t, &a) in self.tiles.iter_mut().zip(&self.active) {
-                    if a {
-                        t.step(now);
-                    }
-                }
-            }
-        }
+    /// in-order loop. Tracing steps inline so ring-buffer event order stays
+    /// deterministic.
+    fn phase_tiles<C: PhaseClock>(&mut self, now: u64, clock: &mut C) {
+        let may_park = self.may_park();
+        let pool = self.pool.as_deref().filter(|_| !self.traced);
+        self.sched
+            .run_cycle(&mut self.tiles, &self.active, now, pool, may_park, clock);
     }
 
     /// BSP phase 4 — barrier joins and releases.
@@ -1147,11 +1099,11 @@ impl Cell {
             let cell = r.u8()?;
             self.xresp_out.push_back((cell, snap_load_resp_packet(r)?));
         }
-        // A dense-schedule Cell never runs the wake-list phase, so stall
-        // debt restored from an event-schedule checkpoint would accrue
-        // forever and double-count against the densely recorded stalls.
-        // Materialize it now, like the tracing dense-switch does.
-        if !self.event_schedule() {
+        // A dense-schedule Cell must step every active tile, so park state
+        // restored from an event-schedule checkpoint is settled now: owed
+        // stalls are credited and every tile is awake, like the tracing
+        // dense-switch does.
+        if !self.may_park() {
             self.sched.settle(&mut self.tiles, self.cycle);
         }
         Ok(())
@@ -1160,48 +1112,53 @@ impl Cell {
     /// BSP phase 5 — injections: tile and bank outboxes drain into the
     /// routers (cross-Cell traffic diverts to the fabric queues).
     fn phase_inject(&mut self) {
-        for i in 0..self.tiles.len() {
-            let (x, y) = self.tiles[i].xy;
-            let coord = self.pgas.tile_coord(x, y);
-            while let Some(&(cell, _)) = self.tiles[i].req_outbox.front() {
-                if cell == self.id {
-                    if !self.req_net.can_inject(coord) {
-                        break;
-                    }
-                    let (_, pkt) = self.tiles[i].req_outbox.pop_front().unwrap();
-                    self.req_net.inject(coord, pkt);
-                } else {
-                    let (cell, pkt) = self.tiles[i].req_outbox.pop_front().unwrap();
-                    self.xreq_out.push_back((cell, pkt));
-                }
-            }
-            while let Some(&(cell, _)) = self.tiles[i].resp_outbox.front() {
-                if cell == self.id {
-                    if !self.resp_net.can_inject(coord) {
-                        break;
-                    }
-                    let (_, pkt) = self.tiles[i].resp_outbox.pop_front().unwrap();
-                    self.resp_net.inject(coord, pkt);
-                } else {
-                    let (cell, pkt) = self.tiles[i].resp_outbox.pop_front().unwrap();
-                    self.xresp_out.push_back((cell, pkt));
-                }
-            }
+        let id = self.id;
+        for t in &mut self.tiles {
+            let coord = self.pgas.tile_coord(t.xy.0, t.xy.1);
+            drain_outbox(
+                id,
+                coord,
+                &mut t.req_outbox,
+                &mut self.req_net,
+                &mut self.xreq_out,
+            );
+            drain_outbox(
+                id,
+                coord,
+                &mut t.resp_outbox,
+                &mut self.resp_net,
+                &mut self.xresp_out,
+            );
         }
-        for b in 0..self.banks.len() {
-            let coord = self.banks[b].coord;
-            while let Some(&(cell, _)) = self.banks[b].resp_outbox.front() {
-                if cell == self.id {
-                    if !self.resp_net.can_inject(coord) {
-                        break;
-                    }
-                    let (_, pkt) = self.banks[b].resp_outbox.pop_front().unwrap();
-                    self.resp_net.inject(coord, pkt);
-                } else {
-                    let (cell, pkt) = self.banks[b].resp_outbox.pop_front().unwrap();
-                    self.xresp_out.push_back((cell, pkt));
-                }
-            }
+        for b in &mut self.banks {
+            drain_outbox(
+                id,
+                b.coord,
+                &mut b.resp_outbox,
+                &mut self.resp_net,
+                &mut self.xresp_out,
+            );
+        }
+    }
+}
+
+/// Drains `outbox` into `net` at `coord` while the router accepts, in
+/// order; packets bound for another Cell divert to `remote`.
+fn drain_outbox<P: Clone + std::fmt::Debug>(
+    id: u8,
+    coord: Coord,
+    outbox: &mut VecDeque<(u8, Packet<P>)>,
+    net: &mut Network<P>,
+    remote: &mut VecDeque<(u8, Packet<P>)>,
+) {
+    while let Some(&(cell, _)) = outbox.front() {
+        if cell != id {
+            remote.extend(outbox.pop_front());
+        } else if net.can_inject(coord) {
+            let (_, pkt) = outbox.pop_front().unwrap();
+            net.inject(coord, pkt);
+        } else {
+            break;
         }
     }
 }

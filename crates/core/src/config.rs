@@ -132,8 +132,8 @@ pub struct MachineConfig {
     /// is stamped `(tile, barrier-epoch, kind)` into a shadow map and
     /// same-epoch conflicting pairs are reported. Checking is read-only:
     /// simulated results are bit-identical with the sanitizer on or off,
-    /// and with it off the hot loop pays exactly one always-false branch
-    /// (the same pattern as `telemetry_window`/fault hooks).
+    /// and with it off the hot loop pays nothing beyond the hook spine's
+    /// one always-false branch shared with telemetry and fault hooks.
     pub race_check: bool,
     /// Event-driven tile scheduling (see `hb_core::parallel` and the
     /// "Event-driven core" section of DESIGN.md): quiescent tiles park on

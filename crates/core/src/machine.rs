@@ -4,6 +4,7 @@
 use crate::cell::{Cell, GroupSpec};
 use crate::config::MachineConfig;
 use crate::diag::{FaultInfo, HangClass, HangReport};
+use crate::parallel::{NoClock, PhaseClock, PhaseTimes, WallClock};
 use crate::payload::{Request, Response};
 use crate::stats::CoreStats;
 use hb_asm::Program;
@@ -18,9 +19,11 @@ use std::sync::Arc;
 /// is detached for the duration of the call.
 pub type CheckpointSink = Box<dyn FnMut(&mut Machine) + Send>;
 
-/// The installed auto-checkpoint sink plus its firing interval.
+/// The installed auto-checkpoint sink, its firing interval and the next
+/// cycle it fires.
 struct CkptSinkSlot {
     every: u64,
+    due: u64,
     sink: CheckpointSink,
 }
 
@@ -28,6 +31,7 @@ impl fmt::Debug for CkptSinkSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CkptSinkSlot")
             .field("every", &self.every)
+            .field("due", &self.due)
             .finish_non_exhaustive()
     }
 }
@@ -124,31 +128,23 @@ pub struct Machine {
     cycle: u64,
     /// Attached telemetry sink, if any (see [`crate::observe`]).
     observer: Option<Box<dyn crate::observe::MachineObserver>>,
-    /// Next cycle at which the observer fires; `u64::MAX` when detached,
-    /// so the unobserved hot loop pays exactly one always-false branch.
-    obs_due: u64,
     /// Machine-level injections (everything but NoC link faults, which arm
     /// inside the networks), sorted by cycle.
     fault_plan: Vec<Injection>,
     /// Index of the next undelivered entry in `fault_plan`.
     fault_cursor: usize,
-    /// Cycle of the next injection; `u64::MAX` with no plan installed, so
-    /// the zero-injection hot loop pays exactly one always-false branch
-    /// (the same pattern as `obs_due`).
-    fault_due: u64,
     /// Dynamic race sanitizer shadow map (see [`crate::race`]); `None`
     /// unless [`MachineConfig::race_check`] (or
-    /// [`Machine::set_race_check`]) turned checking on, so the unchecked
-    /// hot loop pays exactly one always-false branch (the same pattern as
-    /// `obs_due`/`fault_due`).
+    /// [`Machine::set_race_check`]) turned checking on.
     race: Option<Box<crate::race::RaceChecker>>,
-    /// Periodic auto-checkpoint sink plus its interval, if installed (see
+    /// Periodic auto-checkpoint sink, if installed (see
     /// [`Machine::set_auto_checkpoint`]).
     ckpt_sink: Option<CkptSinkSlot>,
-    /// Next cycle the auto-checkpoint sink fires; `u64::MAX` when none is
-    /// installed, so the uncheckpointed hot loop pays exactly one
-    /// always-false branch (the same pattern as `obs_due`/`fault_due`).
-    ckpt_due: u64,
+    /// The hook spine: the first cycle any end-of-cycle hook (injection,
+    /// observer, race drain, auto-checkpoint) is due; `u64::MAX` when none
+    /// is installed, so the plain hot loop pays exactly one always-false
+    /// branch. Recomputed by [`Machine::rearm_hooks`].
+    next_due: u64,
 }
 
 impl Machine {
@@ -178,13 +174,11 @@ impl Machine {
             fabric,
             cycle: 0,
             observer: None,
-            obs_due: u64::MAX,
             fault_plan: Vec::new(),
             fault_cursor: 0,
-            fault_due: u64::MAX,
             race: None,
             ckpt_sink: None,
-            ckpt_due: u64::MAX,
+            next_due: u64::MAX,
         };
         if machine.cfg.race_check {
             machine.set_race_check(true);
@@ -206,6 +200,7 @@ impl Machine {
         } else {
             None
         };
+        self.rearm_hooks();
     }
 
     /// Whether the dynamic race sanitizer is on.
@@ -242,8 +237,8 @@ impl Machine {
         out
     }
 
-    /// Out-of-line race-log drain, so the unchecked [`Machine::tick`] only
-    /// pays the `race.is_some()` comparison. New reports additionally land
+    /// Out-of-line race-log drain (a hook-spine hook, due every cycle while
+    /// the sanitizer is on). New reports additionally land
     /// as [`ObsKind::Race`](crate::observe::ObsKind) instant events on the
     /// second-accessing tile when telemetry is attached.
     #[cold]
@@ -271,18 +266,18 @@ impl Machine {
     /// faults). Replaces any previously attached observer without
     /// finishing it.
     pub fn attach_observer(&mut self, obs: Box<dyn crate::observe::MachineObserver>) {
-        self.obs_due = obs.next_due();
         for cell in &mut self.cells {
             cell.set_observed(true);
         }
         self.observer = Some(obs);
+        self.rearm_hooks();
     }
 
     /// Detaches the observer after flushing its final partial window.
     pub fn detach_observer(&mut self) -> Option<Box<dyn crate::observe::MachineObserver>> {
         let mut obs = self.observer.take()?;
         obs.finish(self);
-        self.obs_due = u64::MAX;
+        self.rearm_hooks();
         for cell in &mut self.cells {
             cell.set_observed(false);
         }
@@ -428,38 +423,99 @@ impl Machine {
             }
         }
         rest.sort_by_key(|i| i.cycle);
-        self.fault_due = rest.first().map_or(u64::MAX, |i| i.cycle);
         self.fault_plan = rest;
         self.fault_cursor = 0;
+        self.rearm_hooks();
+    }
+
+    /// Cycle of the next undelivered injection; `u64::MAX` when none is
+    /// left.
+    fn fault_due(&self) -> u64 {
+        self.fault_plan
+            .get(self.fault_cursor)
+            .map_or(u64::MAX, |i| i.cycle)
     }
 
     /// Advances the machine one core cycle.
     pub fn tick(&mut self) {
+        self.tick_with(&mut NoClock);
+    }
+
+    /// Advances one core cycle while accumulating per-phase wall-clock time
+    /// into `acc` (fabric time is accounted to the network phase; the
+    /// end-of-cycle hooks are not billed). Used by the `sim_throughput`
+    /// bench to measure the tile phase's share of a cycle — the Amdahl
+    /// bound on tile-phase parallel scaling.
+    pub fn tick_profiled(&mut self, acc: &mut PhaseTimes) {
+        let last = std::time::Instant::now();
+        self.tick_with(&mut WallClock { acc, last });
+    }
+
+    /// The one cycle body: every Cell's BSP phases, the inter-Cell fabric,
+    /// then the hook spine's single due-cycle check.
+    fn tick_with<C: PhaseClock>(&mut self, clock: &mut C) {
         self.cycle += 1;
         for cell in &mut self.cells {
-            cell.tick();
+            cell.tick_with(clock);
         }
         self.tick_fabric();
-        if self.cycle >= self.fault_due {
-            self.inject_due();
+        clock.lap(|t| &mut t.network);
+        if self.cycle >= self.next_due {
+            self.run_hooks();
         }
-        if self.cycle >= self.obs_due {
-            self.observe();
+    }
+
+    /// The hook spine's dispatcher: runs every due end-of-cycle hook in a
+    /// fixed order — injections, then the observer, then the race drain,
+    /// then the auto-checkpoint sink — and re-arms the spine. Injections
+    /// land after the Cells' phases and the fabric, so the flipped state is
+    /// what the *next* cycle observes (the same point in the cycle for
+    /// every thread count) and what the observer samples for this one; the
+    /// checkpoint captures the state every other hook left behind.
+    #[cold]
+    fn run_hooks(&mut self) {
+        while let Some(&inj) = self.fault_plan.get(self.fault_cursor) {
+            if inj.cycle > self.cycle {
+                break;
+            }
+            self.fault_cursor += 1;
+            self.apply_injection(&inj);
         }
-        if self.race.is_some() {
-            self.drain_races();
+        if let Some(mut obs) = self.observer.take_if(|o| self.cycle >= o.next_due()) {
+            obs.sample(self);
+            self.observer = Some(obs);
         }
-        if self.cycle >= self.ckpt_due {
-            self.auto_checkpoint();
+        self.drain_races();
+        if let Some(mut slot) = self.ckpt_sink.take_if(|s| self.cycle >= s.due) {
+            // The sink is detached while it runs (it receives the machine
+            // and may serialize it), mirroring the observer discipline. A
+            // sink may replace itself via set_auto_checkpoint; only rearm
+            // if it did not.
+            (slot.sink)(self);
+            if self.ckpt_sink.is_none() {
+                slot.due = self.cycle + slot.every;
+                self.ckpt_sink = Some(slot);
+            }
         }
+        self.rearm_hooks();
+    }
+
+    /// Recomputes the hook spine's due cycle from every installed hook.
+    /// Called after any change to a hook (attach, detach, set, clear,
+    /// restore) and after each dispatch.
+    fn rearm_hooks(&mut self) {
+        let obs = self.observer.as_ref().map_or(u64::MAX, |o| o.next_due());
+        let ckpt = self.ckpt_sink.as_ref().map_or(u64::MAX, |s| s.due);
+        let race = self.race.as_ref().map_or(u64::MAX, |_| self.cycle + 1);
+        self.next_due = self.fault_due().min(obs).min(ckpt).min(race);
     }
 
     /// Installs a periodic checkpoint sink: `sink` is called at the end of
     /// every `every`-th machine cycle (after all Cell phases, the fabric,
-    /// injections and observation — the same quiescent point
-    /// [`Machine::save_checkpoint`] requires). The hot loop pays exactly
-    /// one `cycle >= ckpt_due` branch when no sink is installed. Replaces
-    /// any previous sink.
+    /// injections, observation and the race drain — the same quiescent
+    /// point [`Machine::save_checkpoint`] requires). The sink rides the
+    /// hook spine, so it adds nothing to the hot loop. Replaces any
+    /// previous sink.
     ///
     /// # Panics
     ///
@@ -470,36 +526,18 @@ impl Machine {
         sink: impl FnMut(&mut Machine) + Send + 'static,
     ) {
         assert!(every > 0, "auto-checkpoint interval must be at least 1");
-        self.ckpt_due = self.cycle + every;
         self.ckpt_sink = Some(CkptSinkSlot {
             every,
+            due: self.cycle + every,
             sink: Box::new(sink),
         });
+        self.rearm_hooks();
     }
 
     /// Removes the periodic checkpoint sink, if any.
     pub fn clear_auto_checkpoint(&mut self) {
         self.ckpt_sink = None;
-        self.ckpt_due = u64::MAX;
-    }
-
-    /// Out-of-line auto-checkpoint dispatch, so the uncheckpointed
-    /// [`Machine::tick`] only pays the `ckpt_due` comparison. The sink is
-    /// detached while it runs (it receives the machine and may serialize
-    /// it), mirroring the observer discipline.
-    #[cold]
-    fn auto_checkpoint(&mut self) {
-        let Some(mut slot) = self.ckpt_sink.take() else {
-            self.ckpt_due = u64::MAX;
-            return;
-        };
-        (slot.sink)(self);
-        // A sink may replace itself via set_auto_checkpoint; only rearm if
-        // it did not.
-        if self.ckpt_sink.is_none() {
-            self.ckpt_due = self.cycle + slot.every;
-            self.ckpt_sink = Some(slot);
-        }
+        self.rearm_hooks();
     }
 
     /// Serializes the complete simulated state — every Cell, the inter-Cell
@@ -543,7 +581,7 @@ impl Machine {
             snap_save_injection(&mut w, inj);
         }
         w.usize(self.fault_cursor);
-        w.u64(self.fault_due);
+        w.u64(self.fault_due());
         let obs_blob = self.observer.as_ref().and_then(|o| o.snapshot());
         if w.opt(obs_blob.is_some()) {
             w.bytes(&obs_blob.unwrap());
@@ -599,7 +637,16 @@ impl Machine {
         if self.fault_cursor > self.fault_plan.len() {
             return Err(SnapError::Bad("fault cursor out of range"));
         }
-        self.fault_due = r.u64()?;
+        if self.fault_plan.windows(2).any(|w| w[0].cycle > w[1].cycle) {
+            return Err(SnapError::Bad("fault plan not sorted by cycle"));
+        }
+        // The stored due cycle is redundant with the cursor; a payload
+        // where they disagree would restore and then never inject.
+        if r.u64()? != self.fault_due() {
+            return Err(SnapError::Bad(
+                "fault due cycle disagrees with the plan cursor",
+            ));
+        }
         if r.opt()? {
             let blob = r.bytes()?;
             if let Some(obs) = &mut self.observer {
@@ -607,31 +654,11 @@ impl Machine {
             }
         }
         r.finish()?;
-        // The observer (re-)attached by the host decides its own next due
-        // cycle from the restored window state.
-        if let Some(obs) = &self.observer {
-            self.obs_due = obs.next_due();
-        }
+        // The restored cycle and plan cursor feed the spine, as does the
+        // observer (re-)attached by the host, which decides its own next
+        // due cycle from the restored window state.
+        self.rearm_hooks();
         Ok(())
-    }
-
-    /// Out-of-line injection dispatch: delivers every plan entry due at or
-    /// before the current cycle. Runs after the Cells' phases and the
-    /// fabric, so the flipped state is what the *next* cycle observes —
-    /// the same point in the cycle for every thread count.
-    #[cold]
-    fn inject_due(&mut self) {
-        while let Some(&inj) = self.fault_plan.get(self.fault_cursor) {
-            if inj.cycle > self.cycle {
-                break;
-            }
-            self.fault_cursor += 1;
-            self.apply_injection(&inj);
-        }
-        self.fault_due = self
-            .fault_plan
-            .get(self.fault_cursor)
-            .map_or(u64::MAX, |i| i.cycle);
     }
 
     /// Lands one injection. Out-of-range coordinates wrap rather than
@@ -681,69 +708,19 @@ impl Machine {
         }
     }
 
-    /// Out-of-line observer dispatch, so the unobserved [`Machine::tick`]
-    /// only pays the `obs_due` comparison.
-    #[cold]
-    fn observe(&mut self) {
-        let Some(mut obs) = self.observer.take() else {
-            self.obs_due = u64::MAX;
-            return;
-        };
-        obs.sample(self);
-        self.obs_due = obs.next_due();
-        self.observer = Some(obs);
-    }
-
-    /// Advances one core cycle while accumulating per-phase wall-clock time
-    /// into `acc` (fabric time is accounted to the network phase). Used by
-    /// the `sim_throughput` bench to measure the tile phase's share of a
-    /// cycle — the Amdahl bound on tile-phase parallel scaling.
-    pub fn tick_profiled(&mut self, acc: &mut crate::parallel::PhaseTimes) {
-        self.cycle += 1;
-        for cell in &mut self.cells {
-            cell.tick_profiled(acc);
-        }
-        let t0 = std::time::Instant::now();
-        self.tick_fabric();
-        acc.network += t0.elapsed();
-        if self.cycle >= self.fault_due {
-            self.inject_due();
-        }
-        if self.cycle >= self.obs_due {
-            self.observe();
-        }
-        if self.race.is_some() {
-            self.drain_races();
-        }
-        if self.cycle >= self.ckpt_due {
-            self.auto_checkpoint();
-        }
-    }
-
     /// Fabric: collect outbound traffic (budgeted) and deliver due items.
     fn tick_fabric(&mut self) {
-        for ci in 0..self.cells.len() {
-            let mut budget = self.fabric.words_per_cycle;
-            while budget > 0 {
-                if let Some((dst, pkt)) = self.cells[ci].xreq_out.pop_front() {
-                    self.fabric.in_flight.push_back((
-                        self.cycle + self.fabric.latency,
-                        dst,
-                        XItem::Req(pkt),
-                    ));
-                    budget -= 1;
-                    continue;
-                }
-                if let Some((dst, pkt)) = self.cells[ci].xresp_out.pop_front() {
-                    self.fabric.in_flight.push_back((
-                        self.cycle + self.fabric.latency,
-                        dst,
-                        XItem::Resp(pkt),
-                    ));
-                    budget -= 1;
-                    continue;
-                }
-                break;
+        let due = self.cycle + self.fabric.latency;
+        for cell in &mut self.cells {
+            for _ in 0..self.fabric.words_per_cycle {
+                let item = match cell.xreq_out.pop_front() {
+                    Some((dst, pkt)) => (due, dst, XItem::Req(pkt)),
+                    None => match cell.xresp_out.pop_front() {
+                        Some((dst, pkt)) => (due, dst, XItem::Resp(pkt)),
+                        None => break,
+                    },
+                };
+                self.fabric.in_flight.push_back(item);
             }
         }
         while let Some(&(due, dst, _)) = self.fabric.in_flight.front() {

@@ -12,9 +12,10 @@
 //!
 //! The hooks are designed to vanish when unused:
 //!
-//! - [`Machine::tick`] takes exactly one extra branch per machine cycle —
-//!   `cycle >= obs_due` — and `obs_due` is `u64::MAX` unless an observer
-//!   is attached.
+//! - The observer rides [`Machine::tick`]'s hook spine: one
+//!   `cycle >= next_due` branch per machine cycle shared by every
+//!   end-of-cycle hook, and `next_due` is `u64::MAX` unless some hook is
+//!   installed.
 //! - Tile event capture is gated by a per-tile `observed` flag that is
 //!   only consulted on the rare paths (mark stores, barrier joins, fence
 //!   retires, faults), never in the fetch/execute hot loop.

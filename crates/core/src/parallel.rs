@@ -22,11 +22,14 @@
 //! therefore step independently, and executing them on any number of worker
 //! threads produces *bit-identical* architectural state, statistics and
 //! network traffic to the single-threaded in-order schedule (verified by
-//! `crates/core/tests/determinism.rs` across the whole kernel suite).
+//! `tests/determinism.rs` across the whole kernel suite).
 //!
-//! [`TilePool`] is the persistent worker pool that runs phase 3: `threads-1`
-//! long-lived `std::thread` workers plus the calling thread, each stepping a
-//! contiguous shard of the tile array. Thread count comes from
+//! Phase 3 has one stepping loop, `step_list`: it steps the step list the
+//! wake-list scheduler built (see `crate::sched`; the dense schedule is
+//! that list with parking disabled, i.e. every active tile in ascending
+//! order). [`TilePool`] is the persistent worker pool that shards it:
+//! `threads-1` long-lived `std::thread` workers plus the calling thread,
+//! each stepping a contiguous range of list positions. Thread count comes from
 //! [`MachineConfig::threads`](crate::MachineConfig::threads) (seeded from
 //! the `HB_THREADS` environment variable).
 
@@ -35,7 +38,7 @@ use crate::tile::Tile;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Wall-clock time spent in each BSP phase of [`Cell::tick`](crate::Cell::tick),
 /// accumulated by [`Machine::tick_profiled`](crate::Machine::tick_profiled).
@@ -51,10 +54,10 @@ pub struct PhaseTimes {
     pub memory: Duration,
     /// Tile execution (the parallel phase).
     pub tiles: Duration,
-    /// Event-scheduler bookkeeping (wake scan, stall catch-up, park
-    /// application — see `crate::sched`). Zero under the dense schedule.
-    /// Kept out of `tiles` so the Amdahl tile-share report stays truthful
-    /// about the parallelizable fraction.
+    /// Wake-list bookkeeping (see `crate::sched`): the scan that builds
+    /// the step list, stall catch-up and park application. Under the dense
+    /// schedule only the scan remains. Kept out of `tiles` so the Amdahl
+    /// tile-share report stays truthful about the parallelizable fraction.
     pub sched: Duration,
     /// Barrier joins/releases.
     pub sync: Duration,
@@ -79,39 +82,82 @@ impl PhaseTimes {
     }
 }
 
-/// One shard of tile-stepping work handed to a worker.
+/// Selects the [`PhaseTimes`] field a phase bills to, e.g.
+/// `|t| &mut t.network`.
+pub(crate) type Bucket = fn(&mut PhaseTimes) -> &mut Duration;
+
+/// Where a cycle body bills host time: it calls [`lap`](Self::lap) at the
+/// end of each phase. The cycle body is generic over the clock, so the
+/// untimed instantiation ([`NoClock`]) compiles to the bare phase sequence.
+pub(crate) trait PhaseClock {
+    /// Bills the host time since the previous lap to `bucket`.
+    fn lap(&mut self, bucket: Bucket);
+}
+
+/// The untimed clock: zero-sized, every lap a no-op.
+pub(crate) struct NoClock;
+
+impl PhaseClock for NoClock {
+    #[inline(always)]
+    fn lap(&mut self, _: Bucket) {}
+}
+
+/// Bills wall-clock laps into `acc`; the first lap starts at `last`.
+pub(crate) struct WallClock<'a> {
+    pub(crate) acc: &'a mut PhaseTimes,
+    pub(crate) last: Instant,
+}
+
+impl PhaseClock for WallClock<'_> {
+    fn lap(&mut self, bucket: Bucket) {
+        let now = Instant::now();
+        *bucket(self.acc) += now - self.last;
+        self.last = now;
+    }
+}
+
+/// One shard of tile-stepping work handed to a worker: step
+/// `tiles[list[pos]]` for each `pos` in `[start, end)` and, when `parks` is
+/// non-null, write that tile's park hint to `parks[pos]`.
 ///
 /// Raw pointers because workers are persistent (the borrow cannot be
 /// expressed through the channel); safety rests on three invariants upheld
-/// by [`TilePool::step_tiles`] / [`TilePool::step_list`]: shard ranges are
-/// pairwise disjoint (and wake-list entries unique, so `List` shards touch
-/// disjoint tiles), read-only inputs are only read, and the caller blocks
-/// on the completion latch before the borrows it took the pointers from
-/// end.
-enum Shard {
-    /// A contiguous range of the dense tile array.
-    Dense {
-        tiles: *mut Tile,
-        active: *const bool,
-        start: usize,
-        end: usize,
-        now: u64,
-    },
-    /// A range of wake-list positions: step `tiles[list[pos]]` and write
-    /// its park hint to `parks[pos]` for each `pos` in `[start, end)`.
-    List {
-        tiles: *mut Tile,
-        list: *const u32,
-        parks: *mut Park,
-        start: usize,
-        end: usize,
-        now: u64,
-    },
+/// by [`step_list`]: shard ranges are pairwise disjoint and list entries
+/// unique (so shards touch disjoint tiles and hint slots), read-only inputs
+/// are only read, and the caller blocks on the completion latch before the
+/// borrows it took the pointers from end.
+struct Job {
+    tiles: *mut Tile,
+    list: *const u32,
+    parks: *mut Park,
+    start: usize,
+    end: usize,
+    now: u64,
 }
 
 // SAFETY: `Tile` is `Send` (all fields are owned or `Arc` of `Send + Sync`
-// data) and `step_tiles` guarantees disjoint, latch-synchronized access.
-unsafe impl Send for Shard {}
+// data) and `step_list` guarantees disjoint, latch-synchronized access.
+unsafe impl Send for Job {}
+
+impl Job {
+    /// Steps the shard's tiles.
+    ///
+    /// # Safety
+    ///
+    /// `list[start..end]` must hold unique, in-bounds tile indices, disjoint
+    /// from every concurrently running shard, and `parks` (when non-null)
+    /// must be valid for `end` writes; the backing borrows must outlive the
+    /// call (guaranteed by the pool's completion latch).
+    unsafe fn run(&self) {
+        for pos in self.start..self.end {
+            let t = &mut *self.tiles.add(*self.list.add(pos) as usize);
+            t.step(self.now);
+            if !self.parks.is_null() {
+                *self.parks.add(pos) = t.park_hint(self.now);
+            }
+        }
+    }
+}
 
 /// Countdown latch: the caller waits until every worker reports done.
 #[derive(Debug, Default)]
@@ -147,7 +193,7 @@ impl Latch {
 /// reused every cycle; workers park on their channel between cycles, so the
 /// steady-state cost per cycle is one send per worker plus the latch wait.
 pub struct TilePool {
-    senders: Vec<Sender<Shard>>,
+    senders: Vec<Sender<Job>>,
     latch: Arc<Latch>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -170,36 +216,18 @@ impl TilePool {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (tx, rx) = channel::<Shard>();
+            let (tx, rx) = channel::<Job>();
             let latch = latch.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("hb-tile-{w}"))
                 .spawn(move || {
                     // Senders dropping (pool drop) ends the iterator.
-                    for shard in rx {
-                        // SAFETY: see `Shard` — [start, end) is disjoint
-                        // from every other shard (including the caller's),
-                        // and the caller keeps the backing allocations
-                        // borrowed until the latch opens.
-                        unsafe {
-                            match shard {
-                                Shard::Dense {
-                                    tiles,
-                                    active,
-                                    start,
-                                    end,
-                                    now,
-                                } => run_dense_range(tiles, active, start, end, now),
-                                Shard::List {
-                                    tiles,
-                                    list,
-                                    parks,
-                                    start,
-                                    end,
-                                    now,
-                                } => run_list_range(tiles, list, parks, start, end, now),
-                            }
-                        }
+                    for job in rx {
+                        // SAFETY: see `Job` — its range is disjoint from
+                        // every other shard (including the caller's), and
+                        // the caller keeps the backing allocations borrowed
+                        // until the latch opens.
+                        unsafe { job.run() };
                         latch.count_down();
                     }
                 })
@@ -224,145 +252,72 @@ impl TilePool {
     pub fn threads(&self) -> usize {
         self.senders.len() + 1
     }
-
-    /// Steps every `active` tile one cycle, sharded across the pool.
-    ///
-    /// Bit-identical to the sequential loop `for i { if active[i] {
-    /// tiles[i].step(now) } }`: tiles share no mutable state during the
-    /// step (see the module docs), so shard assignment and thread
-    /// interleaving cannot affect any per-tile result.
-    pub fn step_tiles(&self, tiles: &mut [Tile], active: &[bool], now: u64) {
-        assert_eq!(tiles.len(), active.len());
-        let shards = self.senders.len() + 1;
-        let chunk = tiles.len().div_ceil(shards);
-        if self.senders.is_empty() || chunk == 0 {
-            for (t, &a) in tiles.iter_mut().zip(active) {
-                if a {
-                    t.step(now);
-                }
-            }
-            return;
-        }
-        self.latch.reset(self.senders.len());
-        let len = tiles.len();
-        let base = tiles.as_mut_ptr();
-        let act = active.as_ptr();
-        for (w, tx) in self.senders.iter().enumerate() {
-            let start = ((w + 1) * chunk).min(len);
-            let end = ((w + 2) * chunk).min(len);
-            tx.send(Shard::Dense {
-                tiles: base,
-                active: act,
-                start,
-                end,
-                now,
-            })
-            .expect("tile worker alive");
-        }
-        // The calling thread takes the first shard, through the same raw
-        // base pointer as the workers so no `&mut` to the full slice is
-        // live while they hold their sub-slices.
-        // SAFETY: [0, chunk) is disjoint from every worker shard.
-        unsafe {
-            run_dense_range(base, act, 0, chunk.min(len), now);
-        }
-        self.latch.wait();
-    }
-
-    /// Steps exactly the tiles named by `list` (the event scheduler's wake
-    /// list), writing each tile's park hint to the matching position of
-    /// `parks`, sharded across the pool by list position.
-    ///
-    /// Bit-identical to the inline loop for the same reason as
-    /// [`step_tiles`](Self::step_tiles): wake-list entries are unique, so
-    /// shards touch disjoint tiles and disjoint `parks` positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parks` is not the same length as `list`.
-    pub(crate) fn step_list(&self, tiles: &mut [Tile], list: &[u32], parks: &mut [Park], now: u64) {
-        assert_eq!(list.len(), parks.len());
-        let shards = self.senders.len() + 1;
-        let chunk = list.len().div_ceil(shards);
-        if self.senders.is_empty() || chunk == 0 {
-            for (pos, &i) in list.iter().enumerate() {
-                let t = &mut tiles[i as usize];
-                t.step(now);
-                parks[pos] = t.park_hint(now);
-            }
-            return;
-        }
-        self.latch.reset(self.senders.len());
-        let len = list.len();
-        let base = tiles.as_mut_ptr();
-        let lp = list.as_ptr();
-        let pp = parks.as_mut_ptr();
-        for (w, tx) in self.senders.iter().enumerate() {
-            let start = ((w + 1) * chunk).min(len);
-            let end = ((w + 2) * chunk).min(len);
-            tx.send(Shard::List {
-                tiles: base,
-                list: lp,
-                parks: pp,
-                start,
-                end,
-                now,
-            })
-            .expect("tile worker alive");
-        }
-        // SAFETY: positions [0, chunk) are disjoint from every worker
-        // shard, and list entries are unique tile indices.
-        unsafe {
-            run_list_range(base, lp, pp, 0, chunk.min(len), now);
-        }
-        self.latch.wait();
-    }
 }
 
-/// Steps the active tiles of one dense shard.
+/// The tile phase's one stepping loop: steps exactly the tiles named by
+/// `list` (strictly ascending indices), sharded by list position across
+/// `pool` when it has workers. With `parks`, each tile's park hint lands at
+/// its list position; without, [`Tile::park_hint`] is never called (the
+/// dense schedule).
 ///
-/// # Safety
+/// Bit-identical to the inline loop for any shard assignment: tiles share
+/// no mutable state during the step (see the module docs), list entries are
+/// unique, so shards touch disjoint tiles and disjoint `parks` positions.
 ///
-/// `[start, end)` must be in bounds for both allocations and disjoint from
-/// every concurrently running shard; the backing borrows must outlive the
-/// call (guaranteed by the pool's completion latch).
-unsafe fn run_dense_range(
-    tiles: *mut Tile,
-    active: *const bool,
-    start: usize,
-    end: usize,
+/// # Panics
+///
+/// Panics if `list` is not strictly ascending and within `tiles`, or if
+/// `parks` is not the same length as `list`.
+pub(crate) fn step_list(
+    pool: Option<&TilePool>,
+    tiles: &mut [Tile],
+    list: &[u32],
+    parks: Option<&mut [Park]>,
     now: u64,
 ) {
-    let n = end - start;
-    let tiles = std::slice::from_raw_parts_mut(tiles.add(start), n);
-    let active = std::slice::from_raw_parts(active.add(start), n);
-    for (t, &a) in tiles.iter_mut().zip(active) {
-        if a {
-            t.step(now);
+    // Strictly ascending and in bounds: the shards' raw tile accesses are
+    // disjoint and valid.
+    assert!(
+        list.windows(2).all(|w| w[0] < w[1])
+            && list.last().is_none_or(|&i| (i as usize) < tiles.len()),
+        "step list must hold ascending, in-bounds tile indices"
+    );
+    let parks = match parks {
+        Some(p) => {
+            assert_eq!(list.len(), p.len());
+            p.as_mut_ptr()
         }
+        None => std::ptr::null_mut(),
+    };
+    let base = tiles.as_mut_ptr();
+    let job = |start: usize, end: usize| Job {
+        tiles: base,
+        list: list.as_ptr(),
+        parks,
+        start,
+        end,
+        now,
+    };
+    let len = list.len();
+    let workers = pool.map_or(0, |p| p.senders.len());
+    let chunk = len.div_ceil(workers + 1);
+    let Some(pool) = pool.filter(|_| workers > 0 && chunk > 0) else {
+        // SAFETY: one shard covering the whole list, on this thread.
+        unsafe { job(0, len).run() };
+        return;
+    };
+    pool.latch.reset(workers);
+    for (w, tx) in pool.senders.iter().enumerate() {
+        let start = ((w + 1) * chunk).min(len);
+        let end = ((w + 2) * chunk).min(len);
+        tx.send(job(start, end)).expect("tile worker alive");
     }
-}
-
-/// Steps the wake-list tiles of one list shard and records park hints.
-///
-/// # Safety
-///
-/// As [`run_dense_range`], plus: `list[start..end]` must hold unique,
-/// in-bounds tile indices (so tile access is disjoint across shards).
-unsafe fn run_list_range(
-    tiles: *mut Tile,
-    list: *const u32,
-    parks: *mut Park,
-    start: usize,
-    end: usize,
-    now: u64,
-) {
-    for pos in start..end {
-        let i = *list.add(pos) as usize;
-        let t = &mut *tiles.add(i);
-        t.step(now);
-        *parks.add(pos) = t.park_hint(now);
-    }
+    // The calling thread takes the first shard, through the same raw base
+    // pointers as the workers so no `&mut` to the full slice is live while
+    // they hold theirs.
+    // SAFETY: positions [0, chunk) are disjoint from every worker shard.
+    unsafe { job(0, chunk.min(len)).run() };
+    pool.latch.wait();
 }
 
 impl Drop for TilePool {
@@ -398,7 +353,7 @@ mod tests {
         let pool = TilePool::new(1);
         assert_eq!(pool.threads(), 1);
         // No tiles: must not deadlock or panic.
-        pool.step_tiles(&mut [], &[], 1);
+        step_list(Some(&pool), &mut [], &[], None, 1);
     }
 
     #[test]
@@ -407,8 +362,8 @@ mod tests {
         // open.
         let pool = TilePool::new(8);
         assert_eq!(pool.threads(), 8);
-        pool.step_tiles(&mut [], &[], 1);
-        pool.step_tiles(&mut [], &[], 2);
+        step_list(Some(&pool), &mut [], &[], None, 1);
+        step_list(Some(&pool), &mut [], &[], Some(&mut []), 2);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! [`Cell`](crate::Cell)), so every counter comes out bit-identical to the
 //! dense schedule.
 //!
+//! The dense schedule is this same loop with parking disabled
+//! ([`MachineConfig::event_core`](crate::MachineConfig::event_core) off, or
+//! a traced Cell): no park hint is taken, no tile ever sleeps, and the step
+//! list is every active tile in ascending order each cycle.
+//!
 //! # Why skipping is sound
 //!
 //! A tile only sleeps when *every* per-cycle effect of its dense step is
@@ -36,10 +41,9 @@
 //! the tile steps once, records the same stall dense would have, and parks
 //! again.
 
-use crate::parallel::{PhaseTimes, TilePool};
+use crate::parallel::{PhaseClock, TilePool};
 use crate::stats::StallKind;
 use crate::tile::Tile;
-use std::time::Instant;
 
 /// Sentinel for "not parked" in [`TileSched::park_cycle`].
 const NOT_PARKED: u64 = u64::MAX;
@@ -204,22 +208,21 @@ impl TileSched {
         Ok(())
     }
 
-    /// Runs one event-driven tile phase: wakes due sleepers, credits owed
-    /// stalls, steps the wake list (sharded over `pool` when present) and
-    /// applies the new park hints. With `times`, wake-list bookkeeping is
-    /// attributed to the `sched` phase bucket and only the stepping itself
-    /// to `tiles`.
-    pub(crate) fn run_cycle(
+    /// Runs one tile phase: wakes due sleepers, credits owed stalls, steps
+    /// the resulting list (sharded over `pool` when present) and applies
+    /// the new park hints. With `may_park` off (the dense schedule) no
+    /// park hint is taken, so no tile ever sleeps and the list is every
+    /// active tile in ascending order. The clock bills the list build and
+    /// park application to `sched`, the stepping itself to `tiles`.
+    pub(crate) fn run_cycle<C: PhaseClock>(
         &mut self,
         tiles: &mut [Tile],
         active: &[bool],
         now: u64,
         pool: Option<&TilePool>,
-        times: Option<&mut PhaseTimes>,
+        may_park: bool,
+        clock: &mut C,
     ) {
-        let timed = times.is_some();
-        let t0 = timed.then(Instant::now);
-
         // Build: scan the SoA state, wake due tiles, credit stall debt.
         self.run_list.clear();
         for (i, &a) in active.iter().enumerate() {
@@ -248,28 +251,19 @@ impl TileSched {
             self.run_list.push(i as u32);
         }
         self.parks.clear();
-        self.parks.resize(self.run_list.len(), Park::Awake);
-
-        let t1 = timed.then(Instant::now);
-
-        // Step: only the wake list, inline or across the worker pool.
-        match pool {
-            Some(pool) => pool.step_list(tiles, &self.run_list, &mut self.parks, now),
-            None => {
-                for (pos, &i) in self.run_list.iter().enumerate() {
-                    let t = &mut tiles[i as usize];
-                    t.step(now);
-                    self.parks[pos] = t.park_hint(now);
-                }
-            }
+        if may_park {
+            self.parks.resize(self.run_list.len(), Park::Awake);
         }
+        clock.lap(|t| &mut t.sched);
+
+        let parks = may_park.then_some(&mut self.parks[..]);
+        crate::parallel::step_list(pool, tiles, &self.run_list, parks, now);
         self.stepped += self.run_list.len() as u64;
+        clock.lap(|t| &mut t.tiles);
 
-        let t2 = timed.then(Instant::now);
-
-        // Apply: record the new parks.
-        for (pos, &i) in self.run_list.iter().enumerate() {
-            if let Park::Sleep { kind, wake_at } = self.parks[pos] {
+        // Apply: record the new parks (none without `may_park`).
+        for (&i, &park) in self.run_list.iter().zip(&self.parks) {
+            if let Park::Sleep { kind, wake_at } = park {
                 let i = i as usize;
                 self.asleep[i] = true;
                 self.wake_at[i] = wake_at;
@@ -278,12 +272,7 @@ impl TileSched {
                 tiles[i].push_obs(now, crate::observe::ObsKind::Park(kind));
             }
         }
-
-        if let Some(times) = times {
-            let (t0, t1, t2) = (t0.unwrap(), t1.unwrap(), t2.unwrap());
-            times.sched += (t1 - t0) + t2.elapsed();
-            times.tiles += t2 - t1;
-        }
+        clock.lap(|t| &mut t.sched);
     }
 }
 

@@ -1,6 +1,10 @@
-//! Minimal JSON utilities: string escaping for the hand-written exporters
-//! and a strict recursive-descent syntax validator used by the golden
-//! tests (no serde anywhere in the workspace).
+//! Minimal JSON utilities (no serde anywhere in the workspace): string
+//! escaping for the hand-written exporters and store records, a strict
+//! recursive-descent syntax validator used by the golden tests, and a
+//! flat-object reader for `hb-serve`'s store records. The validator and
+//! the reader share one parser, so there is one string/number grammar.
+
+use std::collections::BTreeMap;
 
 /// Escapes `s` for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -21,16 +25,72 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Quotes and escapes `s` as a JSON string literal.
+pub fn quote(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
 /// Validates that `s` is exactly one well-formed JSON value (per RFC 8259
 /// syntax; no trailing garbage). Returns the byte offset of the first
 /// error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, pos: 0 };
+    document(s, Parser::value)
+}
+
+/// A flat-object value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonValue {
+    /// A JSON string (unescaped).
+    Str(String),
+    /// An unsigned integer.
+    Num(u64),
+}
+
+/// Parses a single flat JSON object (`{"k":"v","n":3}`) into a key → value
+/// map. Values must be strings or unsigned integers; nesting and duplicate
+/// keys are rejected.
+///
+/// # Errors
+///
+/// Returns a message describing the first syntax problem.
+pub fn parse_object(s: &str) -> Result<BTreeMap<String, JsonValue>, String> {
+    let mut map = BTreeMap::new();
+    document(s, |p| {
+        p.object(&mut |p, key| {
+            let value = match p.peek() {
+                Some(b'"') => JsonValue::Str(p.string()?),
+                Some(c) if c.is_ascii_digit() => {
+                    let start = p.pos;
+                    p.number()?;
+                    let digits = &s[start..p.pos];
+                    JsonValue::Num(digits.parse().map_err(|_| {
+                        format!("{digits:?} is not an unsigned integer at byte {start}")
+                    })?)
+                }
+                _ => return Err(p.err("expected string or unsigned integer value")),
+            };
+            if map.insert(key.clone(), value).is_some() {
+                return Err(format!("duplicate key {key:?}"));
+            }
+            Ok(())
+        })
+    })?;
+    Ok(map)
+}
+
+/// Runs `f` over the whole of `s`, allowing surrounding whitespace only.
+fn document<'a>(
+    s: &'a str,
+    f: impl FnOnce(&mut Parser<'a>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut p = Parser {
+        b: s.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
-    p.value()?;
+    f(&mut p)?;
     p.skip_ws();
-    if p.pos != b.len() {
+    if p.pos != p.b.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(())
@@ -84,9 +144,9 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<(), String> {
         match self.peek() {
-            Some(b'{') => self.object(),
+            Some(b'{') => self.object(&mut |p, _| p.value()),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
+            Some(b'"') => self.string().map(drop),
             Some(b't') => self.literal("true"),
             Some(b'f') => self.literal("false"),
             Some(b'n') => self.literal("null"),
@@ -95,7 +155,12 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    /// Parses an object, handing each member's key to `member`, which must
+    /// consume the value.
+    fn object(
+        &mut self,
+        member: &mut dyn FnMut(&mut Self, String) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -104,11 +169,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            self.string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            self.value()?;
+            member(self, key)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -143,27 +208,42 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    /// Parses a string literal and returns it unescaped. A `\\u` escape
+    /// naming half of a surrogate pair decodes to U+FFFD ([`escape`] never
+    /// emits one).
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let mut out = Vec::new();
         loop {
-            match self.bump() {
+            let c = match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(()),
+                Some(b'"') => return Ok(String::from_utf8(out).expect("input is UTF-8")),
                 Some(b'\\') => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
+                    Some(e @ (b'"' | b'\\' | b'/')) => char::from(e),
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
                     Some(b'u') => {
+                        let mut code = 0;
                         for _ in 0..4 {
-                            match self.bump() {
-                                Some(c) if c.is_ascii_hexdigit() => {}
-                                _ => return Err(self.err("bad \\u escape")),
+                            match self.bump().and_then(|h| char::from(h).to_digit(16)) {
+                                Some(d) => code = code * 16 + d,
+                                None => return Err(self.err("bad \\u escape")),
                             }
                         }
+                        char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
                     }
                     _ => return Err(self.err("bad escape")),
                 },
                 Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(_) => {}
-            }
+                Some(c) => {
+                    out.push(c);
+                    continue;
+                }
+            };
+            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
         }
     }
 
@@ -242,6 +322,47 @@ mod tests {
             "{'a':1}",
         ] {
             assert!(validate(doc).is_err(), "accepted invalid {doc:?}");
+        }
+    }
+
+    #[test]
+    fn quote_and_parse_object_roundtrip() {
+        let obj = format!(
+            "{{\"plain\":{},\"tricky\":{},\"n\":42}}",
+            quote("hello"),
+            quote("a\"b\\c\nd\tz \u{7} é")
+        );
+        let map = parse_object(&obj).unwrap();
+        assert_eq!(map["plain"], JsonValue::Str("hello".to_owned()));
+        assert_eq!(
+            map["tricky"],
+            JsonValue::Str("a\"b\\c\nd\tz \u{7} é".to_owned())
+        );
+        assert_eq!(map["n"], JsonValue::Num(42));
+        assert!(parse_object("{}").unwrap().is_empty());
+        assert!(parse_object(" { } ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn parse_object_rejects_non_flat_or_malformed() {
+        for bad in [
+            "",
+            "{",
+            "{}x",
+            "{\"a\"}",
+            "{\"a\":}",
+            "{\"a\":1,}",
+            "{\"a\":-1}",
+            "{\"a\":1.5}",
+            "{\"a\":{}}",
+            "{\"a\":[]}",
+            "{\"a\":true}",
+            "{\"a\":1}{",
+            "{\"a\":1,\"a\":2}",
+            "{\"a\":99999999999999999999}",
+            "[1]",
+        ] {
+            assert!(parse_object(bad).is_err(), "{bad:?}");
         }
     }
 

@@ -32,7 +32,6 @@
 pub mod campaign;
 pub mod cli;
 pub mod exec;
-pub mod json;
 pub mod pool;
 pub mod report;
 pub mod spec;

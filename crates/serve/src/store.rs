@@ -19,10 +19,10 @@
 //! Durability contract: `rename(2)` alone only orders the swap against
 //! other operations on a live filesystem — the *directory entry* is not
 //! durable until the parent directory itself is fsynced. Every rename in
-//! this module is therefore followed by [`sync_dir`] on the parent, so a
+//! this module is therefore followed by `sync_dir` on the parent, so a
 //! power cut after `put` returns cannot resurrect the pre-rename state.
 
-use crate::json::{self, JsonValue};
+use hb_obs::json::{self, JsonValue};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -98,20 +98,6 @@ impl JobRecord {
     /// Returns a message on malformed JSON or missing/mistyped fields.
     pub fn from_json_line(line: &str) -> Result<JobRecord, String> {
         let map = json::parse_object(line)?;
-        fn str_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
-            match map.get(key) {
-                Some(JsonValue::Str(s)) => Ok(s.clone()),
-                Some(_) => Err(format!("field {key:?} is not a string")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        }
-        fn num_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-            match map.get(key) {
-                Some(JsonValue::Num(n)) => Ok(*n),
-                Some(_) => Err(format!("field {key:?} is not a number")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        }
         let digest_hex = str_field(&map, "dram_digest")?;
         let digest = digest_hex
             .strip_prefix("0x")
@@ -163,22 +149,30 @@ impl JournalEntry {
 
     fn from_json_line(line: &str) -> Result<JournalEntry, String> {
         let map = json::parse_object(line)?;
-        let get_str = |key: &str| -> Result<String, String> {
-            match map.get(key) {
-                Some(JsonValue::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("missing/mistyped {key:?}")),
-            }
-        };
-        let retries = match map.get("retries") {
-            Some(JsonValue::Num(n)) => *n as u32,
-            _ => return Err("missing/mistyped \"retries\"".to_owned()),
-        };
         Ok(JournalEntry {
-            hash: get_str("hash")?,
-            status: get_str("status")?,
-            detail: get_str("detail")?,
-            retries,
+            hash: str_field(&map, "hash")?,
+            status: str_field(&map, "status")?,
+            detail: str_field(&map, "detail")?,
+            retries: num_field(&map, "retries")? as u32,
         })
+    }
+}
+
+/// A string field of a parsed record.
+fn str_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
+    match map.get(key) {
+        Some(JsonValue::Str(s)) => Ok(s.clone()),
+        Some(_) => Err(format!("field {key:?} is not a string")),
+        None => Err(format!("missing field {key:?}")),
+    }
+}
+
+/// An unsigned-integer field of a parsed record.
+fn num_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
+    match map.get(key) {
+        Some(JsonValue::Num(n)) => Ok(*n),
+        Some(_) => Err(format!("field {key:?} is not a number")),
+        None => Err(format!("missing field {key:?}")),
     }
 }
 

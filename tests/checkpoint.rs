@@ -11,10 +11,12 @@
 //! checkpoints.
 
 use hammerblade::ckpt;
-use hammerblade::core::observe::MachineObserver;
+use hammerblade::core::observe::{MachineObserver, ObsKind};
 use hammerblade::core::profile::CellProfile;
 use hammerblade::core::{pgas, CellDim, CoreStats, Machine, MachineConfig, SnapshotDram};
+use hammerblade::fault::{InjectionPlan, Site};
 use hammerblade::kernels::{suite, Benchmark, Sgemm, SizeClass};
+use hammerblade::mem::SnapError;
 use hammerblade::obs::{Keep, Sampler, Telemetry};
 use hammerblade::workloads::gen;
 use std::sync::{Arc, Mutex};
@@ -369,4 +371,142 @@ fn mismatched_version_and_config_are_clean_errors() {
     let mid = torn.len() / 2;
     torn[mid] ^= 0x10;
     assert!(matches!(ckpt::decode(&torn), Err(ckpt::CkptError::Corrupt)));
+
+    // A stale next-injection cycle or an out-of-order fault plan would
+    // restore and then never inject. Both are rejected; the raw payload is
+    // hand-edited so the container's integrity hash cannot mask them.
+    let flip = |reg| Site::RegFile {
+        cell: 0,
+        x: 0,
+        y: 0,
+        reg,
+        bit: 0,
+    };
+    let mut planned = sgemm_machine(&cfg);
+    planned.set_injection_plan(&InjectionPlan::explicit([(500, flip(5)), (600, flip(6))]));
+    while planned.cycle() < 100 {
+        planned.tick();
+    }
+    let payload = planned.save_checkpoint();
+    // Payload tail: plan length, two RegFile entries (cycle + 6 bytes
+    // each), cursor, stored due cycle, no observer blob.
+    let n = payload.len();
+    let (first, second, due) = (n - 45, n - 31, n - 9);
+    assert_eq!(payload[n - 1], 0, "unexpected observer blob");
+    assert_eq!(payload[first..first + 8], 500u64.to_le_bytes());
+    assert_eq!(payload[second..second + 8], 600u64.to_le_bytes());
+    assert_eq!(payload[due..due + 8], 500u64.to_le_bytes());
+    let restore = |bytes: &[u8]| Machine::new(cfg.clone()).restore_checkpoint(bytes);
+    assert!(restore(&payload).is_ok());
+
+    let mut stale = payload.clone();
+    stale[due..due + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(restore(&stale), Err(SnapError::Bad(_))));
+
+    // Entries swapped, stored due matching the new first entry: only the
+    // order check can catch it.
+    let mut unsorted = payload.clone();
+    unsorted[first..first + 8].copy_from_slice(&600u64.to_le_bytes());
+    unsorted[second..second + 8].copy_from_slice(&500u64.to_le_bytes());
+    unsorted[due..due + 8].copy_from_slice(&600u64.to_le_bytes());
+    assert!(matches!(restore(&unsorted), Err(SnapError::Bad(_))));
+}
+
+#[test]
+fn coinciding_hooks_restore_identically() {
+    // Every end-of-cycle hook is due on cycle AT: a RegFile injection, a
+    // telemetry window boundary, the race drain (due every cycle while
+    // checking) and the auto-checkpoint. They run inject → observe → race
+    // drain → checkpoint, so the checkpoint holds the landed flip and the
+    // closed window, and the restored run continues exactly like the
+    // uninterrupted one without applying the flip again.
+    const WINDOW: u64 = 256;
+    const AT: u64 = 3 * WINDOW;
+    let cfg = MachineConfig {
+        race_check: true,
+        ..cfg_with(1, true)
+    };
+    let plan = InjectionPlan::explicit([(
+        AT,
+        Site::RegFile {
+            cell: 0,
+            x: 1,
+            y: 0,
+            reg: 31,
+            bit: 30,
+        },
+    )]);
+
+    let full_store = Arc::new(Mutex::new(Telemetry::default()));
+    let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::default();
+    let mut twin = sgemm_machine(&cfg);
+    twin.set_injection_plan(&plan);
+    twin.attach_observer(Box::new(Sampler::new(
+        &cfg,
+        WINDOW,
+        Keep::All,
+        full_store.clone(),
+    )));
+    let sink = slot.clone();
+    twin.set_auto_checkpoint(AT, move |m| {
+        sink.lock().unwrap().get_or_insert_with(|| ckpt::encode(m));
+    });
+    twin.run(BUDGET).expect("twin run");
+    let twin_races = twin.render_races();
+    twin.flush_all_caches();
+    let (twin_cycles, twin_core) = (twin.cycle(), twin.cell(0).core_stats());
+    let twin_digest = dram_digest(&twin);
+    drop(twin); // flushes the final partial window
+    let full = full_store.lock().unwrap().clone();
+    let blob = slot.lock().unwrap().take().expect("auto-checkpoint fired");
+
+    // Fresh sampler, race checking from the config, no plan: the
+    // remaining plan rides the checkpoint.
+    let tail_store = Arc::new(Mutex::new(Telemetry::default()));
+    let mut restored = Machine::new(cfg.clone());
+    restored.attach_observer(Box::new(Sampler::new(
+        &cfg,
+        WINDOW,
+        Keep::All,
+        tail_store.clone(),
+    )));
+    assert_eq!(ckpt::restore(&mut restored, &blob).expect("restore"), AT);
+    restored.run(BUDGET).expect("continued run");
+    assert_eq!(restored.render_races(), twin_races, "race reports diverged");
+    restored.flush_all_caches();
+    assert_eq!(restored.cycle(), twin_cycles, "cycle count diverged");
+    assert_eq!(
+        restored.cell(0).core_stats(),
+        twin_core,
+        "core counters diverged"
+    );
+    assert_eq!(dram_digest(&restored), twin_digest, "final DRAM diverged");
+    drop(restored);
+    let tail = tail_store.lock().unwrap().clone();
+
+    let skipped = full.samples.iter().take_while(|s| s.end <= AT).count();
+    assert!(skipped == 3 && full.samples.len() > skipped);
+    assert_eq!(
+        format!("{:?}", &full.samples[skipped..]),
+        format!("{:?}", tail.samples),
+        "restored telemetry windows diverge from the uninterrupted twin"
+    );
+    let full_tail_events: Vec<_> = full.events.iter().filter(|e| e.cycle > AT).collect();
+    assert_eq!(
+        format!("{full_tail_events:?}"),
+        format!("{:?}", tail.events.iter().collect::<Vec<_>>()),
+        "restored instant events diverge from the uninterrupted twin"
+    );
+    assert_eq!(full.final_cycle, tail.final_cycle);
+
+    // The flip landed once, on AT, and the restored run never re-applied it.
+    let injected = |events: &[hammerblade::core::observe::ObsEvent]| -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| matches!(e.kind, ObsKind::Inject(_)))
+            .map(|e| e.cycle)
+            .collect()
+    };
+    assert_eq!(injected(&full.events), [AT]);
+    assert_eq!(injected(&tail.events), [0u64; 0], "injection applied twice");
 }

@@ -8,8 +8,11 @@
 //! assignment and thread interleaving must not be observable anywhere:
 //! not in cycle counts, not in stall blame, not in cache/HBM/NoC traffic.
 
-use hammerblade::core::{CellDim, MachineConfig};
+use hammerblade::core::observe::MachineObserver;
+use hammerblade::core::profile::CellProfile;
+use hammerblade::core::{CellDim, Machine, MachineConfig, PhaseTimes, SnapshotDram};
 use hammerblade::kernels::{suite, SizeClass};
+use std::sync::{Arc, Mutex};
 
 fn cfg_with_threads(threads: usize) -> MachineConfig {
     MachineConfig {
@@ -148,4 +151,103 @@ fn oversubscribed_pool_is_still_deterministic() {
     let b = bench.run(&cfg_with_threads(16), SizeClass::Tiny).unwrap();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.core, b.core);
+}
+
+/// Observer that saves the raw machine payload once, at the end of the
+/// first cycle: the only hook inside `Benchmark::run` that sees the
+/// launched machine.
+#[derive(Debug)]
+struct FirstCycle {
+    slot: Arc<Mutex<Option<Vec<u8>>>>,
+    due: u64,
+}
+
+impl MachineObserver for FirstCycle {
+    fn sample(&mut self, machine: &mut Machine) {
+        *self.slot.lock().unwrap() = Some(machine.save_checkpoint());
+        self.due = u64::MAX;
+    }
+
+    fn next_due(&self) -> u64 {
+        self.due
+    }
+
+    fn finish(&mut self, _machine: &mut Machine) {}
+}
+
+#[test]
+fn tick_profiled_is_bit_identical_to_run_for_every_kernel() {
+    // `tick_profiled` and `tick` share one cycle body; only the phase
+    // clock differs. Every suite kernel is captured after its first cycle
+    // and continued from there both ways: with `run`, and with a
+    // `tick_profiled` loop. Counters, the final DRAM image and the
+    // uninterrupted `run` result must all agree, dense and event-driven.
+    const BUDGET: u64 = 200_000_000;
+    for event_core in [false, true] {
+        let cfg = MachineConfig {
+            event_core,
+            ..cfg_with_threads(1)
+        };
+        for bench in suite() {
+            let name = bench.name();
+            let slot = Arc::new(Mutex::new(None));
+            let captured = slot.clone();
+            let scope = hammerblade::core::set_observer_factory(move |_cfg| {
+                Some(Box::new(FirstCycle {
+                    slot: captured.clone(),
+                    due: 1,
+                }) as Box<dyn MachineObserver>)
+            });
+            let reference = bench
+                .run(&cfg, SizeClass::Tiny)
+                .unwrap_or_else(|e| panic!("{name} (event={event_core}) failed: {e}"));
+            drop(scope);
+            let payload = slot.lock().unwrap().take().expect("first cycle captured");
+            let finish = |profiled: bool| {
+                let mut m = Machine::new(cfg.clone());
+                m.restore_checkpoint(&payload).expect("restore");
+                if profiled {
+                    let mut phases = PhaseTimes::default();
+                    while !m.all_done() {
+                        assert!(m.cycle() < BUDGET, "{name}: tick_profiled timed out");
+                        m.tick_profiled(&mut phases);
+                    }
+                    assert!(m.cell(0).fault().is_none(), "{name}: tick_profiled faulted");
+                } else {
+                    m.run(BUDGET).expect("continued run");
+                }
+                m.flush_all_caches();
+                let cell = m.cell(0);
+                let digest = hb_serve::exec::digest(&SnapshotDram::from_machine(&m), 1);
+                (
+                    m.cycle(),
+                    cell.core_stats(),
+                    *cell.hbm_stats(),
+                    cell.cache_stats(),
+                    cell.request_bisection(),
+                    CellProfile::capture(cell).east_busy,
+                    digest,
+                )
+            };
+            let run = finish(false);
+            let profiled = finish(true);
+            let tag = format!("{name} (event={event_core})");
+            assert_eq!(profiled.0, reference.cycles, "{tag}: cycle count diverged");
+            assert_eq!(profiled.1, reference.core, "{tag}: core counters diverged");
+            assert_eq!(profiled.2, reference.hbm, "{tag}: HBM2 counters diverged");
+            assert_eq!(
+                profiled.3, reference.cache,
+                "{tag}: cache counters diverged"
+            );
+            assert_eq!(
+                profiled.4, reference.bisection,
+                "{tag}: NoC bisection counters diverged"
+            );
+            assert_eq!(
+                profiled.5, reference.profile.east_busy,
+                "{tag}: per-router link activity diverged"
+            );
+            assert_eq!(run, profiled, "{tag}: tick_profiled diverged from run");
+        }
+    }
 }
